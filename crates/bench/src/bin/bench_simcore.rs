@@ -15,18 +15,11 @@
 //!   directory.
 //! * `--smoke` — CI-sized run (scan 2^14, sort 2^12), writes under
 //!   `target/spatial-bench/`, and when a committed `BENCH_simcore.json` is
-//!   present compares messages/sec per benchmark id, **failing (exit 1) on a
-//!   regression of more than 25%** — against the committed `serial` section
-//!   when the run is pinned to `SPATIAL_SIM_THREADS=1`, the `benchmarks`
-//!   section otherwise. An id with no reference entry fails the gate too.
-//!   A scaling gate then re-runs sort_z/65536 at 1 and 2 threads and fails
-//!   if the threaded setting is slower than 95% of serial: mid-sized sorts
-//!   sit below the shard engine's amortization threshold, so a thread
-//!   setting above one must be free there.
-//!
-//! Full runs additionally record a `serial` section (every id but the 2^20
-//! mergesort, re-measured with one shard) and a `scaling` section (the
-//! sort_z/65536 messages/sec at 1, 2, 4 and all available workers).
+//!   present compares messages/sec per benchmark id against its
+//!   `benchmarks` section, **failing (exit 1) on a regression of more than
+//!   25%**. An id with no reference entry fails the gate too. A profile gate
+//!   then re-runs sort_z/65536 on a wse-like profiled machine and fails if
+//!   it is slower than 95% of the bare machine.
 //!
 //! Environment:
 //!
@@ -42,7 +35,7 @@ use std::time::Instant;
 use bench::pseudo;
 use runner::json::Json;
 use spatial_core::collectives::{place_z, scan};
-use spatial_core::model::{set_sim_threads, sim_threads, Machine};
+use spatial_core::model::Machine;
 use spatial_core::sorting::sort_z;
 
 /// One measured benchmark: wall time and message count of a full primitive
@@ -115,17 +108,9 @@ fn sort_bench(n: usize, huge: bool) -> Throughput {
     })
 }
 
-/// One point of the thread-scaling curve: a benchmark re-run with the
-/// sharded bare path pinned to a fixed worker count.
-struct ScalePoint {
-    id: String,
-    threads: usize,
-    msgs_per_sec: u64,
-}
-
 /// Median messages/sec of `samples` fresh sort runs — a lean probe for the
-/// scaling gate, which compares two thread settings and cannot afford the
-/// full warmup-plus-five-samples protocol on a 2^16 sort.
+/// profile gate, which compares two machines and cannot afford the full
+/// warmup-plus-five-samples protocol on a 2^16 sort.
 fn sort_rate(n: usize, samples: usize) -> u64 {
     let vals = pseudo(n, 2);
     let mut rates: Vec<u64> = (0..samples.max(1))
@@ -181,34 +166,11 @@ fn rows(results: &[Throughput]) -> String {
     s
 }
 
-fn render(
-    results: &[Throughput],
-    serial: &[Throughput],
-    scaling: &[ScalePoint],
-    baseline: Option<&str>,
-) -> String {
+fn render(results: &[Throughput], baseline: Option<&str>) -> String {
     let mut s = String::from("{\n  \"format\": \"spatial-bench/v1\",\n  \"group\": \"simcore\",\n");
     s.push_str("  \"unit\": \"messages_per_second\",\n  \"benchmarks\": [\n");
     s.push_str(&rows(results));
     s.push_str("  ]");
-    if !serial.is_empty() {
-        s.push_str(",\n  \"serial\": [\n");
-        s.push_str(&rows(serial));
-        s.push_str("  ]");
-    }
-    if !scaling.is_empty() {
-        s.push_str(",\n  \"scaling\": [\n");
-        for (i, p) in scaling.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"id\": \"{}\", \"threads\": {}, \"msgs_per_sec\": {}}}{}\n",
-                p.id,
-                p.threads,
-                p.msgs_per_sec,
-                if i + 1 < scaling.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]");
-    }
     if let Some(b) = baseline {
         s.push_str(",\n  \"baseline\": ");
         s.push_str(b.trim_end());
@@ -239,19 +201,14 @@ fn baseline_section(doc: &Json) -> Option<String> {
     Some(s)
 }
 
-/// Compares this run against the committed reference section; returns the
+/// Compares this run against the committed `benchmarks` section; returns the
 /// ids that regressed by more than `max_loss_pct` percent. A benchmark id
 /// with no reference entry is itself reported as a failure — a silently
 /// skipped gate is how a renamed benchmark loses its regression cover.
-fn regressions(
-    results: &[Throughput],
-    committed: &Json,
-    section: &str,
-    max_loss_pct: f64,
-) -> Vec<String> {
+fn regressions(results: &[Throughput], committed: &Json, max_loss_pct: f64) -> Vec<String> {
     let mut bad = Vec::new();
-    let Some(benches) = committed.get(section).and_then(Json::as_array) else {
-        bad.push(format!("committed reference has no \"{section}\" section"));
+    let Some(benches) = committed.get("benchmarks").and_then(Json::as_array) else {
+        bad.push("committed reference has no \"benchmarks\" section".into());
         return bad;
     };
     for r in results {
@@ -263,7 +220,7 @@ fn regressions(
             }
         });
         let Some(reference) = reference else {
-            bad.push(format!("{}: no entry in the committed \"{section}\" section", r.id));
+            bad.push(format!("{}: no entry in the committed \"benchmarks\" section", r.id));
             continue;
         };
         let floor = reference * (1.0 - max_loss_pct / 100.0);
@@ -304,66 +261,17 @@ fn main() {
         p
     };
     plan.retain(|(id, _)| want(id));
-    let run_plan = |plan: &[(String, bool)]| -> Vec<Throughput> {
-        plan.iter()
-            .map(|(id, huge)| {
-                let n: usize =
-                    id.split('/').nth(1).expect("id is kind/n").parse().expect("n parses");
-                if id.starts_with("scan/") {
-                    scan_bench(n)
-                } else {
-                    sort_bench(n, *huge)
-                }
-            })
-            .collect()
-    };
-    let results = run_plan(&plan);
-
-    // Full runs also record the serial (1-shard) numbers for every id but
-    // the 2^20 mergesort, so a `SPATIAL_SIM_THREADS=1` smoke run gates
-    // against like-for-like figures, plus the per-thread scaling curve of
-    // the sharded bare path on sort_z/65536.
-    let mut serial: Vec<Throughput> = Vec::new();
-    let mut scaling: Vec<ScalePoint> = Vec::new();
-    if !smoke {
-        let serial_plan: Vec<(String, bool)> =
-            plan.iter().filter(|(id, _)| id != "sort_z/1048576").cloned().collect();
-        if sim_threads() == 1 {
-            // Already serial: the main section is the serial section.
-            serial = results
-                .iter()
-                .filter(|r| r.id != "sort_z/1048576")
-                .map(|r| Throughput {
-                    id: r.id.clone(),
-                    messages: r.messages,
-                    median_ns: r.median_ns,
-                    msgs_per_sec: r.msgs_per_sec,
-                })
-                .collect();
-        } else {
-            println!("-- serial reference (1 shard) --");
-            set_sim_threads(1);
-            serial = run_plan(&serial_plan);
-            set_sim_threads(0);
-        }
-        let curve_id = "sort_z/65536";
-        if want(curve_id) {
-            println!("-- thread scaling ({curve_id}) --");
-            let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let mut counts = vec![1usize, 2, 4, avail];
-            counts.sort_unstable();
-            counts.dedup();
-            for threads in counts {
-                set_sim_threads(threads);
-                // Median of five fresh runs: single samples on a busy host
-                // drift enough to fake a scaling regression.
-                let msgs_per_sec = sort_rate(65536, 5);
-                println!("{curve_id:<16} threads={threads:<3} {msgs_per_sec:>12} msgs/s");
-                scaling.push(ScalePoint { id: curve_id.into(), threads, msgs_per_sec });
+    let results: Vec<Throughput> = plan
+        .iter()
+        .map(|(id, huge)| {
+            let n: usize = id.split('/').nth(1).expect("id is kind/n").parse().expect("n parses");
+            if id.starts_with("scan/") {
+                scan_bench(n)
+            } else {
+                sort_bench(n, *huge)
             }
-            set_sim_threads(0);
-        }
-    }
+        })
+        .collect();
 
     let baseline = std::env::var("SPATIAL_BENCH_BASELINE").ok().and_then(|p| {
         let doc = std::fs::read_to_string(&p).ok()?;
@@ -383,7 +291,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let rendered = render(&results, &serial, &scaling, baseline.as_deref());
+    let rendered = render(&results, baseline.as_deref());
 
     if smoke {
         let dir = std::env::var("SPATIAL_BENCH_JSON")
@@ -392,9 +300,7 @@ fn main() {
         std::fs::create_dir_all(&dir).ok();
         std::fs::write(&path, &rendered).expect("write smoke results");
         println!("  -> {}", path.display());
-        // Gate: compare against the committed reference when present. A
-        // serial run (SPATIAL_SIM_THREADS=1) gates against the committed
-        // serial numbers, not the default-thread ones.
+        // Gate: compare against the committed reference when present.
         match std::fs::read_to_string("BENCH_simcore.json") {
             Err(_) => println!("no committed BENCH_simcore.json; skipping regression gate"),
             Ok(doc) => {
@@ -404,43 +310,16 @@ fn main() {
                     Some("spatial-bench/v1"),
                     "committed BENCH_simcore.json must be spatial-bench/v1"
                 );
-                let section = if sim_threads() == 1 && committed.get("serial").is_some() {
-                    "serial"
-                } else {
-                    "benchmarks"
-                };
-                let bad = regressions(&results, &committed, section, 25.0);
+                let bad = regressions(&results, &committed, 25.0);
                 if !bad.is_empty() {
-                    eprintln!("messages/sec regression (>25%) vs \"{section}\":");
+                    eprintln!("messages/sec regression (>25%) vs \"benchmarks\":");
                     for b in &bad {
                         eprintln!("  {b}");
                     }
                     std::process::exit(1);
                 }
-                println!("regression gate passed (within 25% of committed \"{section}\")");
+                println!("regression gate passed (within 25% of committed \"benchmarks\")");
             }
-        }
-        // Scaling gate: a thread setting above 1 must never cost throughput
-        // on mid-sized sorts. The shard engine only engages past its
-        // amortization threshold (2^17 items), so sort_z/65536 must run at
-        // serial speed at any thread count — this pins the regression where
-        // sharded 2^16 bitonic stages lost ~20% (955 -> 751 M msgs/s).
-        if want("sort_z/65536") {
-            println!("-- scaling gate (sort_z/65536, threads 2 vs 1) --");
-            set_sim_threads(1);
-            let serial = sort_rate(65536, 5);
-            set_sim_threads(2);
-            let sharded = sort_rate(65536, 5);
-            set_sim_threads(0);
-            println!("  serial {serial} msgs/s   threads=2 {sharded} msgs/s");
-            if (sharded as f64) < 0.95 * serial as f64 {
-                eprintln!(
-                    "scaling regression: threads=2 ran sort_z/65536 at {sharded} msgs/s, \
-                     under 95% of the serial {serial} msgs/s"
-                );
-                std::process::exit(1);
-            }
-            println!("scaling gate passed (threads=2 within 5% of serial)");
         }
         // Profile gate: a cost profile is pure accounting applied to the
         // final counters, so a profiled machine must run the hot path at
@@ -449,10 +328,8 @@ fn main() {
         // path (which would also disable the closed-form batch kernels).
         if want("sort_z/65536") {
             println!("-- profile gate (sort_z/65536, wse-like vs bare) --");
-            set_sim_threads(1);
             let bare = sort_rate(65536, 5);
             let profiled = sort_rate_profiled(65536, 5);
-            set_sim_threads(0);
             println!("  bare {bare} msgs/s   wse-like {profiled} msgs/s");
             if (profiled as f64) < 0.95 * bare as f64 {
                 eprintln!(

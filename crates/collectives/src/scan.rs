@@ -45,7 +45,7 @@ struct SumLevels<T> {
 /// # Panics
 /// Panics if `items.len()` is not a power of four, if `lo` is not aligned to
 /// the array length, or if items are not resident at their Z-positions.
-pub fn scan<T: Clone + Send + Sync>(
+pub fn scan<T: Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -72,7 +72,7 @@ pub fn scan<T: Clone + Send + Sync>(
 
 /// Exclusive scan: result `i` is `identity ∘ A_0 ∘ … ∘ A_{i-1}`; result `0`
 /// is `identity`.
-pub fn scan_exclusive<T: Clone + Send + Sync>(
+pub fn scan_exclusive<T: Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -97,7 +97,7 @@ pub fn scan_exclusive<T: Clone + Send + Sync>(
 /// carry is broadcast over its block and folded in. Costs: `O(n)` energy,
 /// `O(log n)` depth, `O(√n)` distance — the Lemma IV.3 bounds without the
 /// padding.
-pub fn scan_any<T: Clone + Send + Sync>(
+pub fn scan_any<T: Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -167,7 +167,7 @@ pub fn scan_any<T: Clone + Send + Sync>(
 /// Fallible [`scan`]: runs under the machine's active guard/fault layer and
 /// surfaces any violation (dead PE, memory cap, budget, bounds) as a typed
 /// [`SpatialError`] instead of relying on the machine's latched state.
-pub fn try_scan<T: Clone + Send + Sync>(
+pub fn try_scan<T: Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -177,7 +177,7 @@ pub fn try_scan<T: Clone + Send + Sync>(
 }
 
 /// Fallible [`scan_any`] (see [`try_scan`]).
-pub fn try_scan_any<T: Clone + Send + Sync>(
+pub fn try_scan_any<T: Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,

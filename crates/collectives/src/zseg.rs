@@ -14,7 +14,7 @@ use spatial_model::{zorder, Coord, Machine, Tracked};
 /// Returns one value per cell, indexed by Z-offset (`out[i]` lives at
 /// Z-index `lo + i`). The root may start anywhere; it is first moved to
 /// `coord_of(lo)`.
-pub fn broadcast_z<T: Clone + Send + Sync>(
+pub fn broadcast_z<T: Clone>(
     machine: &mut Machine,
     root: Tracked<T>,
     lo: u64,
@@ -45,7 +45,7 @@ pub fn broadcast_z<T: Clone + Send + Sync>(
 /// displacement is `decode(i·q)` for every `k`, so each `(level, i)` is one
 /// [`spatial_model::BatchPattern::Uniform`] batch. Charges exactly what the
 /// depth-first recursion charges.
-fn bcast_block<T: Clone + Send + Sync>(
+fn bcast_block<T: Clone>(
     machine: &mut Machine,
     root: Tracked<T>,
     start: u64,
@@ -85,7 +85,7 @@ fn bcast_block<T: Clone + Send + Sync>(
 
 /// Reduces one value per cell of the Z-range `[lo, hi)` (indexed by
 /// Z-offset) onto the range's first cell.
-pub fn reduce_z<T: Clone + Send + Sync>(
+pub fn reduce_z<T: Clone>(
     machine: &mut Machine,
     items: Vec<Tracked<T>>,
     lo: u64,
@@ -127,7 +127,7 @@ pub fn reduce_z<T: Clone + Send + Sync>(
 /// three travelling siblings share displacement `−decode(i·stride)` across
 /// every group, so each `(level, i)` is one uniform batch. Siblings fold in
 /// ascending quadrant order, exactly as the depth-first recursion does.
-fn reduce_block<T: Clone + Send + Sync>(
+fn reduce_block<T: Clone>(
     machine: &mut Machine,
     start: u64,
     len: u64,

@@ -36,7 +36,7 @@ pub fn scratch_for(near: u64, cells: u64) -> u64 {
 /// Panics if two elements compare equal (wrap inputs in
 /// [`crate::Keyed`] to guarantee distinctness) or if `scratch_lo` is
 /// misaligned.
-pub fn allpairs_rank<P: Ord + Clone + Send + Sync>(
+pub fn allpairs_rank<P: Ord + Clone>(
     machine: &mut Machine,
     items: Vec<Tracked<P>>,
     scratch_lo: u64,
@@ -47,7 +47,7 @@ pub fn allpairs_rank<P: Ord + Clone + Send + Sync>(
 /// [`allpairs_rank`] with an escape hatch forcing the materializing per-item
 /// phases even on a bare machine — the reference the closed-form kernel is
 /// tested against.
-fn allpairs_rank_inner<P: Ord + Clone + Send + Sync>(
+fn allpairs_rank_inner<P: Ord + Clone>(
     machine: &mut Machine,
     items: Vec<Tracked<P>>,
     scratch_lo: u64,
@@ -169,7 +169,7 @@ fn allpairs_rank_inner<P: Ord + Clone + Send + Sync>(
 
 /// All-Pairs Sort: ranks the elements and routes each to Z-index
 /// `out_lo + rank`. Returns the sorted array indexed by rank.
-pub fn allpairs_sort_to_z<P: Ord + Clone + Send + Sync>(
+pub fn allpairs_sort_to_z<P: Ord + Clone>(
     machine: &mut Machine,
     items: Vec<Tracked<P>>,
     scratch_lo: u64,
@@ -204,7 +204,7 @@ pub fn allpairs_sort_to_z<P: Ord + Clone + Send + Sync>(
 /// copies is a single [`spatial_model::BatchPattern::Uniform`] batch.
 /// Charges exactly what the depth-first per-element recursion charges.
 /// Returns one array copy per hosting block, in block order.
-fn copy_to_blocks<P: Clone + Send + Sync>(
+fn copy_to_blocks<P: Clone>(
     machine: &mut Machine,
     holder: Vec<Tracked<P>>,
     bm: u64,
@@ -258,7 +258,7 @@ fn copy_to_blocks<P: Clone + Send + Sync>(
 /// are charged as uniform batches. `roots[i]` floods the block at
 /// `scratch_lo + i·bm`; returns, per block, one value per cell indexed by
 /// Z-offset. Charges exactly what the per-block recursive broadcast charges.
-fn bcast_all_blocks<T: Clone + Send + Sync>(
+fn bcast_all_blocks<T: Clone>(
     machine: &mut Machine,
     roots: Vec<Tracked<T>>,
     scratch_lo: u64,

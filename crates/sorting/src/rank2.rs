@@ -53,7 +53,7 @@ pub struct Split {
 /// pivots ship in a single broadcast; only the `O(√n)`-sized windows are
 /// ranked per k. Costs match a single [`rank_split`] up to constants:
 /// `O(|ks|·n^{5/4})` energy, `O(log n)` depth, `O(√n)` distance.
-pub fn multi_rank_split<P: Ord + Clone + Send + Sync>(
+pub fn multi_rank_split<P: Ord + Clone>(
     machine: &mut Machine,
     a: &[Tracked<P>],
     a_lo: u64,
@@ -145,7 +145,7 @@ pub fn multi_rank_split<P: Ord + Clone + Send + Sync>(
 /// `a` must be sorted ascending on the Z-segment `[a_lo, a_lo + |A|)` and
 /// `b` on `[b_lo, b_lo + |B|)`. Elements across both arrays must be pairwise
 /// distinct (wrap in [`crate::keyed::Keyed`]).
-pub fn rank_split<P: Ord + Clone + Send + Sync>(
+pub fn rank_split<P: Ord + Clone>(
     machine: &mut Machine,
     a: &[Tracked<P>],
     a_lo: u64,
@@ -217,7 +217,7 @@ pub fn rank_split<P: Ord + Clone + Send + Sync>(
 /// Steps 5+6 of Lemma V.6: all-pairs-rank the two narrowed windows and count
 /// how many of the `k - ea - eb` smallest come from `A`.
 #[allow(clippy::too_many_arguments)]
-fn window_phase<P: Ord + Clone + Send + Sync>(
+fn window_phase<P: Ord + Clone>(
     machine: &mut Machine,
     a: &[Tracked<P>],
     a_lo: u64,
@@ -270,7 +270,7 @@ fn window_phase<P: Ord + Clone + Send + Sync>(
 /// a **single** bundled broadcast and reduce (the pivots travel together as
 /// one constant-size message payload).
 #[allow(clippy::type_complexity)]
-fn count_leq_multi<P: Ord + Clone + Send + Sync>(
+fn count_leq_multi<P: Ord + Clone>(
     machine: &mut Machine,
     a: &[Tracked<P>],
     a_lo: u64,
@@ -342,7 +342,7 @@ fn count_leq_multi<P: Ord + Clone + Send + Sync>(
 /// Counts the elements of a sorted Z-segment array that are `≤ pivot`,
 /// via broadcast + indicator + reduce (energy `O(len)`, depth `O(log len)`,
 /// distance `O(√len)`).
-fn count_leq<P: Ord + Clone + Send + Sync>(
+fn count_leq<P: Ord + Clone>(
     machine: &mut Machine,
     arr: &[Tracked<P>],
     lo: u64,

@@ -1,5 +1,5 @@
-//! Batch-pattern classification and deterministic sharded execution for the
-//! bare (uninstrumented) fast path of the machine's batch APIs.
+//! Batch-pattern classification for the bare (uninstrumented) fast path of
+//! the machine's batch APIs.
 //!
 //! The bulk of the messages in a large run come from *regular* batches:
 //! whole Z-blocks exchanging values at one common displacement (block
@@ -10,28 +10,14 @@
 //! shapes; anything else is [`BatchPattern::Irregular`] and pays the ordinary
 //! per-item loop.
 //!
-//! The remaining per-item work (constructing each delivered value and
-//! extending its [`Path`]) is embarrassingly parallel, so `shard_map`
-//! partitions it into contiguous chunks across `std::thread::scope` workers.
-//! Each worker accumulates into a private `ShardAcc`; the partials are
-//! merged **in fixed shard order** (lowest item index first). Every merged
-//! quantity is either an exact sum (`messages`), a saturating sum of
-//! non-negative terms (`energy` — see below), or a max (`depth`,
-//! `distance`), all of which are independent of the partition, so the
-//! reported [`crate::Cost`] is bit-identical at any thread count.
-//!
 //! *Saturation note.* A serial left fold of `saturating_add` over
 //! non-negative terms equals `min(true_sum, u64::MAX)`: partial sums are
 //! monotone, so the fold clamps exactly when the true sum exceeds `u64::MAX`
-//! and is exact otherwise. Per-shard partials merged with `saturating_add`
-//! compute the same function, as do the `u128` closed forms — so all three
-//! evaluation orders agree bit-for-bit even at the saturation boundary.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+//! and is exact otherwise. The `u128` closed forms, clamped once when added
+//! to the machine's counter, compute the same function — so the closed-form
+//! and per-item charges agree bit-for-bit even at the saturation boundary.
 
 use crate::coord::Coord;
-use crate::path::Path;
 
 /// The displacement structure of a batch of point-to-point messages.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,8 +48,7 @@ pub enum BatchPattern {
         /// Per-item column stride.
         scol: i64,
     },
-    /// Anything else: charged by the ordinary per-item loop (sharded when
-    /// large).
+    /// Anything else: charged by the ordinary per-item loop.
     Irregular,
 }
 
@@ -186,194 +171,6 @@ enum AxisZeros {
     All,
 }
 
-/// Override slot for [`sim_threads`]; `0` means "no override, use the
-/// environment". Programmatic so a single test process can exercise several
-/// thread counts (the env var is read once and cached).
-static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-static THREADS_ENV: OnceLock<usize> = OnceLock::new();
-
-/// Worker count used by the sharded bare-path batch kernels.
-///
-/// Resolution order: [`set_sim_threads`] override, then the
-/// `SPATIAL_SIM_THREADS` environment variable (read once per process), then
-/// `std::thread::available_parallelism()`. `1` forces the serial path.
-/// Any value yields bit-identical costs; this knob trades wall clock only.
-pub fn sim_threads() -> usize {
-    match THREADS_OVERRIDE.load(Ordering::Relaxed) {
-        0 => *THREADS_ENV.get_or_init(|| {
-            std::env::var("SPATIAL_SIM_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n: &usize| n >= 1)
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        }),
-        n => n,
-    }
-}
-
-/// Sets the worker count programmatically, overriding the environment
-/// (`0` clears the override). Takes effect on the next batch call.
-pub fn set_sim_threads(n: usize) {
-    THREADS_OVERRIDE.store(n, Ordering::SeqCst);
-}
-
-/// Below this many items a batch is processed serially. Scoped-thread
-/// spawns cost tens of microseconds and the merge adds a pass over the
-/// partials; batches under ~10^5 items cannot amortize that. The threshold
-/// is deliberately high: a 2^16-item bitonic stage loses ~20% end to end
-/// when sharded (see the `scaling` section of `BENCH_simcore.json`), so
-/// only the 2^17+ batches of the largest sweeps engage the shard engine.
-const MIN_PARALLEL_ITEMS: usize = 1 << 17;
-/// Minimum items per shard; fewer workers are used for mid-sized batches,
-/// keeping each shard's working set large enough to amortize its spawn.
-const MIN_CHUNK: usize = 1 << 15;
-
-/// Private per-shard cost accumulator. `energy` and `messages` start at zero
-/// and are *partials* to be merged into the machine's counters; `depth` and
-/// `distance` are running maxima.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ShardAcc {
-    pub energy: u64,
-    pub messages: u64,
-    pub depth: u64,
-    pub distance: u64,
-}
-
-impl ShardAcc {
-    /// Records a delivered value's path against the watermark maxima.
-    #[inline]
-    pub fn observe(&mut self, p: Path) {
-        self.depth = self.depth.max(p.depth);
-        self.distance = self.distance.max(p.distance);
-    }
-
-    /// Charges one message of length `d`.
-    #[inline]
-    pub fn charge(&mut self, d: u64) {
-        self.energy = self.energy.saturating_add(d);
-        self.messages += 1;
-    }
-
-    /// Folds another shard's partial in (fixed caller-driven order).
-    fn merge(&mut self, o: &ShardAcc) {
-        self.energy = self.energy.saturating_add(o.energy);
-        self.messages += o.messages;
-        self.depth = self.depth.max(o.depth);
-        self.distance = self.distance.max(o.distance);
-    }
-}
-
-/// How many shards a batch of `n` items runs on under the current thread
-/// setting.
-fn shards_for(n: usize) -> usize {
-    if n < MIN_PARALLEL_ITEMS {
-        return 1;
-    }
-    sim_threads().clamp(1, n.div_ceil(MIN_CHUNK))
-}
-
-/// Maps `f` over owned items, sharded across scoped workers when the batch
-/// is large enough. `f` receives each item's global index. Outputs are
-/// concatenated and shard partials merged in ascending item order, so the
-/// result is identical to the serial fold for any thread count.
-pub(crate) fn shard_map<I, O>(
-    items: Vec<I>,
-    f: impl Fn(I, usize, &mut ShardAcc) -> O + Sync,
-) -> (Vec<O>, ShardAcc)
-where
-    I: Send,
-    O: Send,
-{
-    let n = items.len();
-    let shards = shards_for(n);
-    if shards <= 1 {
-        let mut acc = ShardAcc::default();
-        let out = items.into_iter().enumerate().map(|(i, it)| f(it, i, &mut acc)).collect();
-        return (out, acc);
-    }
-    let chunk = n.div_ceil(shards);
-    // Carve the vector into contiguous chunks back to front (one memcpy of
-    // each tail), so workers own their items without any unsafe slicing.
-    let mut chunks: Vec<(usize, Vec<I>)> = Vec::with_capacity(shards);
-    let mut rest = items;
-    for s in (1..shards).rev() {
-        let at = (s * chunk).min(rest.len());
-        chunks.push((at, rest.split_off(at)));
-    }
-    chunks.push((0, rest));
-    chunks.reverse();
-    let f = &f;
-    let results: Vec<(Vec<O>, ShardAcc)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|(base, c)| {
-                scope.spawn(move || {
-                    let mut acc = ShardAcc::default();
-                    let out: Vec<O> = c
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, it)| f(it, base + i, &mut acc))
-                        .collect();
-                    (out, acc)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("batch shard worker panicked")).collect()
-    });
-    merge_shards(n, results)
-}
-
-/// Borrowed-item variant of [`shard_map`]: shards a slice by subslices (no
-/// item copying), same deterministic merge.
-pub(crate) fn shard_map_ref<I, O>(
-    items: &[I],
-    f: impl Fn(&I, usize, &mut ShardAcc) -> O + Sync,
-) -> (Vec<O>, ShardAcc)
-where
-    I: Sync,
-    O: Send,
-{
-    let n = items.len();
-    let shards = shards_for(n);
-    if shards <= 1 {
-        let mut acc = ShardAcc::default();
-        let out = items.iter().enumerate().map(|(i, it)| f(it, i, &mut acc)).collect();
-        return (out, acc);
-    }
-    let chunk = n.div_ceil(shards);
-    let f = &f;
-    let results: Vec<(Vec<O>, ShardAcc)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(s, c)| {
-                let base = s * chunk;
-                scope.spawn(move || {
-                    let mut acc = ShardAcc::default();
-                    let out: Vec<O> =
-                        c.iter().enumerate().map(|(i, it)| f(it, base + i, &mut acc)).collect();
-                    (out, acc)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("batch shard worker panicked")).collect()
-    });
-    merge_shards(n, results)
-}
-
-/// Concatenates shard outputs and merges shard partials, lowest item index
-/// first — the single place that fixes the deterministic reduction order.
-fn merge_shards<O>(n: usize, results: Vec<(Vec<O>, ShardAcc)>) -> (Vec<O>, ShardAcc) {
-    let mut out = Vec::with_capacity(n);
-    let mut acc = ShardAcc::default();
-    for (o, a) in results {
-        out.extend(o);
-        acc.merge(&a);
-    }
-    (out, acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,43 +230,15 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_is_partition_independent() {
-        // Large enough to shard; compare against the serial fold.
-        let items: Vec<u64> = (0..(MIN_PARALLEL_ITEMS as u64 * 2 + 17)).collect();
-        let f = |it: u64, i: usize, acc: &mut ShardAcc| {
-            acc.charge(it % 13);
-            acc.observe(Path { depth: it % 7, distance: it % 29 });
-            it + i as u64
-        };
-        let mut serial_acc = ShardAcc::default();
-        let serial: Vec<u64> =
-            items.iter().enumerate().map(|(i, &it)| f(it, i, &mut serial_acc)).collect();
-        for threads in [1usize, 2, 3, 8] {
-            set_sim_threads(threads);
-            let (out, acc) = shard_map(items.clone(), f);
-            assert_eq!(out, serial, "threads={threads}");
-            assert_eq!(acc.energy, serial_acc.energy);
-            assert_eq!(acc.messages, serial_acc.messages);
-            assert_eq!(acc.depth, serial_acc.depth);
-            assert_eq!(acc.distance, serial_acc.distance);
-            let (out_ref, acc_ref) = shard_map_ref(&items, |&it, i, a| f(it, i, a));
-            assert_eq!(out_ref, serial);
-            assert_eq!(acc_ref.messages, serial_acc.messages);
-        }
-        set_sim_threads(0);
-    }
-
-    #[test]
-    fn profiled_totals_agree_across_bare_sharded_and_instrumented_paths() {
+    fn profiled_totals_agree_across_bare_and_instrumented_paths() {
         // The profile is charged from the final counters, and the raw
-        // counters are bit-identical across the bare closed-form path, the
-        // shard engine at any thread count, and the instrumented per-item
-        // replay — so every profiled total must agree too. This pins that
-        // chain end to end on the machine's batch APIs.
+        // counters are bit-identical across the bare closed-form path and
+        // the instrumented per-item replay — so every profiled total must
+        // agree too. This pins that chain end to end on the machine's batch
+        // APIs.
         use crate::machine::Machine;
-        use crate::profile::{builtin_profiles, ProfiledCost};
 
-        let n = MIN_PARALLEL_ITEMS + 1031; // past the shard engage threshold
+        let n = (1 << 17) + 1031;
         let run = |m: &mut Machine| {
             let items =
                 m.place_batch((0..n as u64).collect(), |i| Coord::new(i as i64 % 509, 0));
@@ -483,7 +252,7 @@ mod tests {
                     })
                     .collect(),
             );
-            // Irregular phase: per-item charging, sharded when large.
+            // Irregular phase: per-item charging.
             let _ = m.send_batch(
                 moved
                     .into_iter()
@@ -492,18 +261,11 @@ mod tests {
                     .collect::<Vec<_>>(),
             );
         };
-        for profile in builtin_profiles() {
-            let mut reference: Option<ProfiledCost> = None;
-            for threads in [1usize, 2, 7] {
-                set_sim_threads(threads);
-                let mut m = Machine::with_profile(*profile);
-                assert!(m.is_bare(), "a profile is accounting, not an instrument");
-                run(&mut m);
-                let p = m.profiled_report().expect("built-ins cannot saturate here");
-                let r = *reference.get_or_insert(p);
-                assert_eq!(r, p, "profile {} at threads={threads}", profile.name());
-            }
-            set_sim_threads(0);
+        for profile in crate::profile::builtin_profiles() {
+            let mut m = Machine::with_profile(*profile);
+            assert!(m.is_bare(), "a profile is accounting, not an instrument");
+            run(&mut m);
+            let reference = m.profiled_report().expect("built-ins cannot saturate here");
             // Instrumented replay: the trace forces the materializing
             // per-item path; counters — hence profiled totals — must match.
             let mut m = Machine::with_profile(*profile);
@@ -512,7 +274,7 @@ mod tests {
             run(&mut m);
             assert_eq!(
                 m.profiled_report().unwrap(),
-                reference.unwrap(),
+                reference,
                 "instrumented replay under {}",
                 profile.name()
             );
@@ -569,15 +331,5 @@ mod tests {
         assert!(p.total_pj > u128::from(u64::MAX), "the point of the u128 intermediates");
         assert_eq!(p.delay_cycles, (u128::from(c.distance) + u128::from(c.depth)) << 20);
         assert_eq!(p.edp, p.total_pj * p.delay_cycles);
-    }
-
-    #[test]
-    fn saturating_energy_merge_matches_serial_clamp() {
-        // Shard partials that individually and jointly saturate must merge
-        // to exactly what the serial monotone fold produces: u64::MAX.
-        let mut a = ShardAcc { energy: u64::MAX - 10, ..Default::default() };
-        let b = ShardAcc { energy: 100, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.energy, u64::MAX);
     }
 }

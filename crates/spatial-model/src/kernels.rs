@@ -32,7 +32,6 @@
 //!   dominated by its block's final reduced path, so max-merging only the
 //!   final paths leaves the machine's depth/distance watermarks identical.
 
-use crate::batch::ShardAcc;
 use crate::machine::Machine;
 use crate::path::Path;
 use crate::value::Tracked;
@@ -146,8 +145,7 @@ impl Machine {
 
         // Final reduced path at each corner, exact per the separation
         // argument in the module docs; watermark = max over those paths.
-        let mut acc = ShardAcc::default();
-        let out: Vec<Tracked<(T, u64)>> = corners
+        corners
             .into_iter()
             .zip(ranks)
             .enumerate()
@@ -158,14 +156,12 @@ impl Machine {
                     depth: (nz_i + mp_depth).max(c.depth + 2 * lvls),
                     distance: (route_i * scale + mp_dist).max(c.distance + 2 * max_route),
                 };
-                acc.observe(r);
+                self.observe(r);
                 let (value, loc, _) = corner.into_parts();
                 debug_assert_eq!(loc, zorder::coord_of(scratch_lo + i as u64 * bm));
                 Tracked::raw((value, rank), loc, c.join(r))
             })
-            .collect();
-        self.absorb_watermarks(acc);
-        out
+            .collect()
     }
 }
 

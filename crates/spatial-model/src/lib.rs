@@ -58,7 +58,7 @@ pub mod trace;
 pub mod value;
 pub mod zorder;
 
-pub use batch::{set_sim_threads, sim_threads, BatchPattern};
+pub use batch::BatchPattern;
 pub use cancel::CancelToken;
 pub use coord::Coord;
 pub use cost::Cost;

@@ -105,9 +105,9 @@ impl Machine {
 
     /// A fresh machine whose reports are charged under `profile` (see
     /// [`crate::profile`]). The profile is carried through the whole run —
-    /// including the bare batch fast path, the closed-form kernels and the
-    /// shard engine, none of which it perturbs — and applied to the exact
-    /// counters at [`Machine::profiled_report`] time.
+    /// including the bare batch fast path and the closed-form kernels,
+    /// neither of which it perturbs — and applied to the exact counters at
+    /// [`Machine::profiled_report`] time.
     pub fn with_profile(profile: &'static dyn crate::profile::CostProfile) -> Self {
         let mut m = Machine::default();
         m.profile = crate::profile::ProfileHandle(profile);
@@ -288,20 +288,22 @@ impl Machine {
 
     /// Places `values[i]` at `loc_of(i)` — [`Machine::place`] over a whole
     /// input array. Placement is free either way; on an uninstrumented
-    /// machine this skips the per-item guard/fault/meter checks entirely
-    /// (sharding the construction across workers for large inputs — see
-    /// [`crate::sim_threads`]), while any active instrumentation sees the
-    /// identical per-item placement stream.
-    pub fn place_batch<T: Send>(
+    /// machine this skips the per-item guard/fault/meter checks entirely,
+    /// while any active instrumentation sees the identical per-item
+    /// placement stream.
+    pub fn place_batch<T>(
         &mut self,
         values: Vec<T>,
-        loc_of: impl Fn(usize) -> Coord + Sync,
+        loc_of: impl Fn(usize) -> Coord,
     ) -> Vec<Tracked<T>> {
         if !self.is_bare() {
             return values.into_iter().enumerate().map(|(i, v)| self.place(loc_of(i), v)).collect();
         }
-        let (out, _) = batch::shard_map(values, |v, i, _| Tracked::raw(v, loc_of(i), Path::ZERO));
-        out
+        values
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| Tracked::raw(v, loc_of(i), Path::ZERO))
+            .collect()
     }
 
     /// Sends a *copy* of `t` to `dst`, charging one message. The source copy
@@ -397,20 +399,11 @@ impl Machine {
         self.messages += n;
     }
 
-    /// Merges a shard partial's watermarks only (energy/messages were
-    /// charged in closed form).
+    /// Raises the depth/distance watermarks to cover a delivered path.
     #[inline]
-    pub(crate) fn absorb_watermarks(&mut self, acc: crate::batch::ShardAcc) {
-        self.depth_watermark = self.depth_watermark.max(acc.depth);
-        self.distance_watermark = self.distance_watermark.max(acc.distance);
-    }
-
-    /// Merges a full shard partial into the machine's counters.
-    #[inline]
-    fn absorb_shard(&mut self, acc: crate::batch::ShardAcc) {
-        self.energy = self.energy.saturating_add(acc.energy);
-        self.messages += acc.messages;
-        self.absorb_watermarks(acc);
+    pub(crate) fn observe(&mut self, p: Path) {
+        self.depth_watermark = self.depth_watermark.max(p.depth);
+        self.distance_watermark = self.distance_watermark.max(p.distance);
     }
 
     /// Moves a batch of values, each to its own destination, charging the
@@ -420,14 +413,11 @@ impl Machine {
     /// On an uninstrumented machine the batch is first classified (see
     /// [`BatchPattern`]): uniform and affine-strided displacement batches
     /// charge energy and message count with O(1) closed-form arithmetic,
-    /// irregular ones with the ordinary per-item loop; either way the
-    /// per-item delivery construction is sharded across workers for large
-    /// batches ([`crate::sim_threads`]), with shard partials merged in fixed
-    /// order so costs are bit-identical at any thread count. With any
+    /// irregular ones with the ordinary per-item loop. With any
     /// instrumentation active (meter, trace, faults, guard, cancellation)
     /// each pair goes through the ordinary `move_to` path, so batching
     /// never changes what instruments observe.
-    pub fn send_batch<T: Send>(&mut self, items: Vec<(Tracked<T>, Coord)>) -> Vec<Tracked<T>> {
+    pub fn send_batch<T>(&mut self, items: Vec<(Tracked<T>, Coord)>) -> Vec<Tracked<T>> {
         if !self.is_bare() {
             return items.into_iter().map(|(t, dst)| self.move_to(t, dst)).collect();
         }
@@ -443,14 +433,15 @@ impl Machine {
                 let d = drow.unsigned_abs() + dcol.unsigned_abs();
                 self.add_energy_total(u128::from(n) * u128::from(d));
                 self.messages += n;
-                let (out, acc) = batch::shard_map(items, |(t, dst), _, acc| {
-                    let (value, _, path) = t.into_parts();
-                    let p = path.step(d);
-                    acc.observe(p);
-                    Tracked::raw(value, dst, p)
-                });
-                self.absorb_watermarks(acc);
-                out
+                items
+                    .into_iter()
+                    .map(|(t, dst)| {
+                        let (value, _, path) = t.into_parts();
+                        let p = path.step(d);
+                        self.observe(p);
+                        Tracked::raw(value, dst, p)
+                    })
+                    .collect()
             }
             // Affinely strided displacements: the energy sum is an
             // arithmetic series and the (at most one) zero-displacement
@@ -460,33 +451,26 @@ impl Machine {
                     batch::sum_abs_affine(drow, srow, n) + batch::sum_abs_affine(dcol, scol, n),
                 );
                 self.messages += n - batch::affine_zero_count(drow, dcol, srow, scol, n);
-                let (out, acc) = batch::shard_map(items, |(t, dst), _, acc| {
-                    let (value, src, path) = t.into_parts();
-                    if src == dst {
-                        return Tracked::raw(value, src, path);
-                    }
-                    let p = path.step(src.manhattan(dst));
-                    acc.observe(p);
-                    Tracked::raw(value, dst, p)
-                });
-                self.absorb_watermarks(acc);
-                out
+                items
+                    .into_iter()
+                    .map(|(t, dst)| {
+                        let (value, src, path) = t.into_parts();
+                        if src == dst {
+                            return Tracked::raw(value, src, path);
+                        }
+                        let p = path.step(src.manhattan(dst));
+                        self.observe(p);
+                        Tracked::raw(value, dst, p)
+                    })
+                    .collect()
             }
-            BatchPattern::Empty | BatchPattern::Irregular => {
-                let (out, acc) = batch::shard_map(items, |(t, dst), _, acc| {
+            BatchPattern::Empty | BatchPattern::Irregular => items
+                .into_iter()
+                .map(|(t, dst)| {
                     let (value, src, path) = t.into_parts();
-                    if src == dst {
-                        return Tracked::raw(value, src, path);
-                    }
-                    let d = src.manhattan(dst);
-                    acc.charge(d);
-                    let p = path.step(d);
-                    acc.observe(p);
-                    Tracked::raw(value, dst, p)
-                });
-                self.absorb_shard(acc);
-                out
-            }
+                    self.deliver_bare(value, path, src, dst)
+                })
+                .collect(),
         }
     }
 
@@ -496,13 +480,10 @@ impl Machine {
     /// zero-length message, exactly as `send` does).
     ///
     /// Fast path and instrumentation behavior as in [`Machine::send_batch`]:
-    /// classified closed-form charging for uniform/affine batches, sharded
-    /// per-item construction for large ones. Since nothing is skipped here,
-    /// the message count is always exactly `items.len()`.
-    pub fn send_batch_copy<T: Clone + Send + Sync>(
-        &mut self,
-        items: &[(&Tracked<T>, Coord)],
-    ) -> Vec<Tracked<T>> {
+    /// classified closed-form charging for uniform/affine batches, the
+    /// per-item loop for the rest. Since nothing is skipped here, the
+    /// message count is always exactly `items.len()`.
+    pub fn send_batch_copy<T: Clone>(&mut self, items: &[(&Tracked<T>, Coord)]) -> Vec<Tracked<T>> {
         if !self.is_bare() {
             return items.iter().map(|&(t, dst)| self.send(t, dst)).collect();
         }
@@ -512,38 +493,40 @@ impl Machine {
                 let d = drow.unsigned_abs() + dcol.unsigned_abs();
                 self.add_energy_total(u128::from(n) * u128::from(d));
                 self.messages += n;
-                let (out, acc) = batch::shard_map_ref(items, |&(t, dst), _, acc| {
-                    let p = t.path().step(d);
-                    acc.observe(p);
-                    Tracked::raw(t.value().clone(), dst, p)
-                });
-                self.absorb_watermarks(acc);
-                out
+                items
+                    .iter()
+                    .map(|&(t, dst)| {
+                        let p = t.path().step(d);
+                        self.observe(p);
+                        Tracked::raw(t.value().clone(), dst, p)
+                    })
+                    .collect()
             }
             BatchPattern::Affine { drow, dcol, srow, scol } => {
                 self.add_energy_total(
                     batch::sum_abs_affine(drow, srow, n) + batch::sum_abs_affine(dcol, scol, n),
                 );
                 self.messages += n;
-                let (out, acc) = batch::shard_map_ref(items, |&(t, dst), _, acc| {
-                    let p = t.path().step(t.loc().manhattan(dst));
-                    acc.observe(p);
-                    Tracked::raw(t.value().clone(), dst, p)
-                });
-                self.absorb_watermarks(acc);
-                out
+                items
+                    .iter()
+                    .map(|&(t, dst)| {
+                        let p = t.path().step(t.loc().manhattan(dst));
+                        self.observe(p);
+                        Tracked::raw(t.value().clone(), dst, p)
+                    })
+                    .collect()
             }
-            BatchPattern::Empty | BatchPattern::Irregular => {
-                let (out, acc) = batch::shard_map_ref(items, |&(t, dst), _, acc| {
+            BatchPattern::Empty | BatchPattern::Irregular => items
+                .iter()
+                .map(|&(t, dst)| {
                     let d = t.loc().manhattan(dst);
-                    acc.charge(d);
+                    self.energy = self.energy.saturating_add(d);
+                    self.messages += 1;
                     let p = t.path().step(d);
-                    acc.observe(p);
+                    self.observe(p);
                     Tracked::raw(t.value().clone(), dst, p)
-                });
-                self.absorb_shard(acc);
-                out
-            }
+                })
+                .collect(),
         }
     }
 
@@ -703,8 +686,7 @@ impl Machine {
             }
             self.messages += 1;
             let p = child.path().step(d);
-            self.depth_watermark = self.depth_watermark.max(p.depth);
-            self.distance_watermark = self.distance_watermark.max(p.distance);
+            self.observe(p);
             running = Some(match running.take() {
                 None => (child.value().clone(), p),
                 Some((rv, rp)) => (op(&rv, child.value()), rp.join(p)),
@@ -726,8 +708,7 @@ impl Machine {
         self.energy = self.energy.saturating_add(d);
         self.messages += 1;
         let p = path.step(d);
-        self.depth_watermark = self.depth_watermark.max(p.depth);
-        self.distance_watermark = self.distance_watermark.max(p.distance);
+        self.observe(p);
         Tracked::raw(value, dst, p)
     }
 
@@ -946,8 +927,7 @@ impl Machine {
         self.energy = self.energy.saturating_add(d);
         self.messages += 1;
         let p = path.step(d);
-        self.depth_watermark = self.depth_watermark.max(p.depth);
-        self.distance_watermark = self.distance_watermark.max(p.distance);
+        self.observe(p);
         if let Some(tr) = &mut self.trace {
             tr.record(src, dst, d);
         }

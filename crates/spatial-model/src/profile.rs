@@ -14,13 +14,13 @@
 //! 1. **Profiles are pure accounting.** A [`ProfiledCost`] is computed from
 //!    the final [`Cost`] snapshot by [`CostProfile::charge`]; the profile is
 //!    *not* an instrument, does not affect [`crate::Machine::is_bare`], and
-//!    therefore leaves the closed-form batch kernels and the shard engine's
-//!    fixed-order merge untouched. The hot path never sees a weight.
+//!    therefore leaves the closed-form batch kernels untouched. The hot path
+//!    never sees a weight.
 //! 2. **Energy components are linear in the summed counters.** The pJ
 //!    components are integer-weighted sums of `energy` and `messages`, so
 //!    closed-form charging of a batch equals the sum of per-item charges,
-//!    and the bare, instrumented and sharded execution paths — which already
-//!    agree on the raw counters bit-for-bit — agree on every profiled total
+//!    and the bare and instrumented execution paths — which already agree
+//!    on the raw counters bit-for-bit — agree on every profiled total
 //!    automatically. (The *delay* side is built from the `depth`/`distance`
 //!    watermarks, which are maxima, not sums.)
 //!

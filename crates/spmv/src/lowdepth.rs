@@ -420,7 +420,7 @@ pub fn spmv_multi<V: Scalar>(
 /// Leader election for arbitrary payloads (shared by [`spmv_multi`]): every
 /// processor `i > 0` receives a copy of its predecessor's value in one
 /// batch, then compares locally.
-fn elect_leaders_by<T: Clone + Send + Sync>(
+fn elect_leaders_by<T: Clone>(
     machine: &mut Machine,
     sorted: &[Tracked<T>],
     key: impl Fn(&T) -> u32,

@@ -445,15 +445,25 @@ fn report<T>(name: &str, n: u64, out: &Outcome<T>, bound: impl Fn(Metric) -> Sha
     }
 }
 
+/// The `--k` rank of `select`/`topk`: the given value, else `default`. It
+/// must lie in `1..=n` (the rule job specs follow too); otherwise this is a
+/// usage error.
+fn rank_arg(a: &Args, default: u64) -> u64 {
+    let n = a.n as u64;
+    let k = if a.k == 0 { default } else { a.k };
+    if k < 1 || k > n {
+        eprintln!("error: k = {k} out of range 1..={n}");
+        std::process::exit(2);
+    }
+    k
+}
+
 /// Side of the Z-order square holding `n` elements from index 0.
 fn z_side(n: u64) -> u64 {
     let padded = spatial_dataflow::model::zorder::next_power_of_four(n.max(1));
     (padded as f64).sqrt() as u64
 }
 
-/// `batch <jobspec.json>` — runs a whole job batch through the supervised
-/// runtime and exits with the batch's aggregate code (0 under
-/// `--best-effort`).
 /// Replaces the default panic hook with a one-liner. Job panics inside the
 /// supervised runtime are *contained by design*, so a full backtrace per
 /// induced panic is noise (especially with `RUST_BACKTRACE=1` in CI); the
@@ -464,6 +474,9 @@ fn quiet_contained_panics() {
     }));
 }
 
+/// `batch <jobspec.json>` — runs a whole job batch through the supervised
+/// runtime and exits with the batch's aggregate code (0 under
+/// `--best-effort`).
 fn run_batch_command(a: &Args) -> ! {
     quiet_contained_panics();
     let path = a.path.clone().unwrap_or_else(|| usage());
@@ -805,7 +818,7 @@ fn main() {
             println!("  verified against std sort ({} input).", a.kind.label());
         }
         "select" => {
-            let k = if a.k == 0 { a.n as u64 / 2 } else { a.k };
+            let k = rank_arg(&a, (a.n as u64 / 2).max(1));
             let vals = a.kind.generate(a.n, a.seed);
             let mut sorted = vals.clone();
             sorted.sort_unstable();
@@ -830,7 +843,7 @@ fn main() {
             );
         }
         "topk" => {
-            let k = if a.k == 0 { 16 } else { a.k };
+            let k = rank_arg(&a, 16.min(a.n as u64));
             let vals = a.kind.generate(a.n, a.seed);
             let mut sorted = vals.clone();
             sorted.sort_unstable();

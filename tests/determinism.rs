@@ -11,10 +11,6 @@ use spatial_dataflow::topk::top_k;
 
 const TRACE_CAP: usize = 1 << 20;
 
-/// Serialises the tests that override the process-global shard count, so
-/// one test's override can't overlap another's baseline run.
-static SIM_THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Runs `f` on a traced machine; returns its value, the cost snapshot and
 /// the full message record.
 fn traced<T>(f: impl Fn(&mut Machine) -> T) -> (T, Cost, Vec<MsgRecord>, u64) {
@@ -216,45 +212,6 @@ fn recovery_retry_counts_are_deterministic() {
 }
 
 #[test]
-fn sharded_bare_path_is_thread_count_invariant() {
-    // The sharded bare path must produce bit-identical Cost tuples at every
-    // worker count: shards accumulate privately and merge in fixed order, so
-    // SPATIAL_SIM_THREADS is pure throughput, never observable. Exercise a
-    // large Uniform-heavy run (scan over 4^9 cells) and a large Irregular
-    // batch (pseudo-random destinations), both past the sharding threshold
-    // (2^17 items — mid-sized batches stay serial by design).
-    use spatial_dataflow::model::{set_sim_threads, zorder};
-    let _guard = SIM_THREADS_LOCK.lock().unwrap();
-    let v = vals(262144, 11);
-    let run = || {
-        let mut m = Machine::new();
-        let items = place_z(&mut m, 0, v.clone());
-        let out = read_values(scan(&mut m, 0, items, &|a, b| a + b));
-        let scan_cost = m.report();
-        let mut mi = Machine::new();
-        let placed =
-            mi.place_batch((0..200000u64).collect::<Vec<_>>(), |i| zorder::coord_of(i as u64));
-        let sends: Vec<_> = placed
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| (t, zorder::coord_of((i as u64).wrapping_mul(7919) % 300000)))
-            .collect();
-        let _ = mi.send_batch(sends);
-        (out, scan_cost, mi.report())
-    };
-    set_sim_threads(1);
-    let serial = run();
-    for threads in [2usize, 7] {
-        set_sim_threads(threads);
-        let sharded = run();
-        assert_eq!(serial.1, sharded.1, "scan Cost differs at {threads} shards");
-        assert_eq!(serial.2, sharded.2, "irregular-batch Cost differs at {threads} shards");
-        assert_eq!(serial.0, sharded.0, "scan values differ at {threads} shards");
-    }
-    set_sim_threads(0);
-}
-
-#[test]
 fn serve_warm_cache_hit_replays_the_cold_line_bit_for_bit() {
     // Submitting the same job twice to one daemon instance must produce two
     // canonical lines that agree on everything but the sequence number: the
@@ -315,37 +272,20 @@ fn profiles_under_test() -> Vec<&'static dyn CostProfile> {
 }
 
 #[test]
-fn profiled_totals_are_invariant_under_sim_thread_count() {
-    // A profile charges the final raw counters, and those counters are
-    // already thread-count invariant — so the derived pJ/EDP totals must be
-    // bit-identical at every worker count too. This test pins the full
-    // chain (sharded run -> raw Cost -> ProfiledCost) rather than assuming
-    // the composition.
-    use spatial_dataflow::model::set_sim_threads;
-    let _guard = SIM_THREADS_LOCK.lock().unwrap();
+fn profiled_report_equals_charging_its_own_raw_tuple() {
+    // A profile charges the final raw counters and nothing else, so a
+    // machine's profiled report must equal charging its own raw tuple. This
+    // pins the full chain (bare run -> raw Cost -> ProfiledCost) rather than
+    // assuming the composition.
     let v = vals(262144, 23);
-    let run = |profile: &'static dyn CostProfile| {
+    for profile in profiles_under_test() {
         let mut m = Machine::with_profile(profile);
         let items = place_z(&mut m, 0, v.clone());
         let _ = read_values(scan(&mut m, 0, items, &|a, b| a + b));
-        m.profiled_report().expect("built-in profiles cannot saturate")
-    };
-    for profile in profiles_under_test() {
-        set_sim_threads(1);
-        let serial = run(profile);
-        for threads in [2usize, 7] {
-            set_sim_threads(threads);
-            assert_eq!(
-                serial,
-                run(profile),
-                "{} profiled totals differ at {threads} shards",
-                profile.name()
-            );
-        }
-        set_sim_threads(0);
+        let profiled = m.profiled_report().expect("built-in profiles cannot saturate");
         assert_eq!(
-            serial,
-            profile.charge(serial.raw).expect("re-charge"),
+            profiled,
+            profile.charge(profiled.raw).expect("re-charge"),
             "{} profiled report must equal charging its own raw tuple",
             profile.name()
         );
@@ -353,62 +293,29 @@ fn profiled_totals_are_invariant_under_sim_thread_count() {
 }
 
 #[test]
-fn profiled_batch_report_is_invariant_under_sim_thread_count() {
-    // Same invariance for the full canonical batch report with a default
-    // profile configured: the profiled blocks ride on deterministic costs,
-    // so the report stays a pure function of (jobspec, profile).
-    use spatial_dataflow::model::set_sim_threads;
-    let _guard = SIM_THREADS_LOCK.lock().unwrap();
+fn profiled_batch_report_carries_profiled_blocks_and_names_its_profile() {
+    // With a default profile configured, the canonical batch report must
+    // carry a profiled block per job and name the profile it was charged
+    // under.
     let doc = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/experiments/jobspecs/smoke.json"
     ))
     .expect("read smoke jobspec");
     for profile in profiles_under_test() {
-        let go = |threads: usize| {
-            set_sim_threads(threads);
-            let batch = runner::Batch::parse(&doc).expect("parse smoke jobspec");
-            let mut config = batch.config;
-            config.profile = Some(profile.name());
-            let report = runner::run_batch(&batch.name, &config, &batch.jobs).to_json(false);
-            set_sim_threads(0);
-            report
-        };
-        let serial = go(1);
+        let batch = runner::Batch::parse(&doc).expect("parse smoke jobspec");
+        let mut config = batch.config;
+        config.profile = Some(profile.name());
+        let report = runner::run_batch(&batch.name, &config, &batch.jobs).to_json(false);
         assert!(
-            serial.contains("\"profiled\""),
+            report.contains("\"profiled\""),
             "{}: report must carry profiled job blocks",
             profile.name()
         );
         assert!(
-            serial.contains(&format!("\"profile\": \"{}\"", profile.name())),
+            report.contains(&format!("\"profile\": \"{}\"", profile.name())),
             "{}: report must name its profile",
             profile.name()
         );
-        assert_eq!(serial, go(2), "{} profiled report differs at 2 shards", profile.name());
-        assert_eq!(serial, go(7), "{} profiled report differs at 7 shards", profile.name());
     }
-}
-
-#[test]
-fn batch_report_is_invariant_under_sim_thread_count() {
-    // The canonical batch report must come back byte-identical whether the
-    // inner simulations shard across 1, 2 or 7 workers.
-    use spatial_dataflow::model::set_sim_threads;
-    let _guard = SIM_THREADS_LOCK.lock().unwrap();
-    let doc = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/experiments/jobspecs/smoke.json"
-    ))
-    .expect("read smoke jobspec");
-    let go = |threads: usize| {
-        set_sim_threads(threads);
-        let batch = runner::Batch::parse(&doc).expect("parse smoke jobspec");
-        let report = runner::run_batch(&batch.name, &batch.config, &batch.jobs).to_json(false);
-        set_sim_threads(0);
-        report
-    };
-    let serial = go(1);
-    assert_eq!(serial, go(2), "canonical report differs at 2 shards");
-    assert_eq!(serial, go(7), "canonical report differs at 7 shards");
 }

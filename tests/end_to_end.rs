@@ -223,6 +223,15 @@ mod cli_exit_codes {
         // CLI must refuse it rather than hang.
         assert_exit(&["chaos", "--mode", "spin"], 2);
         assert_exit(&["batch"], 2);
+        // A rank outside 1..=n is a usage error (the rule job specs follow),
+        // not an index panic; with n = 0 no rank is in range.
+        assert_exit(&["select", "--n", "10", "--k", "20"], 2);
+        assert_exit(&["select", "--n", "0"], 2);
+        assert_exit(&["topk", "--n", "10", "--k", "20"], 2);
+        assert_exit(&["topk", "--n", "0"], 2);
+        // The default ranks stay in range for every n >= 1, so these run.
+        assert_exit(&["select", "--n", "1"], 0);
+        assert_exit(&["topk", "--n", "4"], 0);
     }
 
     #[test]
